@@ -91,9 +91,9 @@ bench-compare: bench-out
 # go tool accepts one -fuzz pattern per invocation, hence one line per
 # target.
 fuzz-smoke:
-	$(GO) test -run xxx -fuzz '^FuzzFrameV1$$' -fuzztime 10s ./internal/server/
 	$(GO) test -run xxx -fuzz '^FuzzRequest$$' -fuzztime 10s ./internal/server/
 	$(GO) test -run xxx -fuzz '^FuzzFrameV2$$' -fuzztime 10s ./internal/server/
+	$(GO) test -run xxx -fuzz '^FuzzBatchReply$$' -fuzztime 10s ./internal/server/
 	$(GO) test -run xxx -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/aof/
 	$(GO) test -run xxx -fuzz '^FuzzRESPParse$$' -fuzztime 10s ./internal/resp/
 	$(GO) test -run xxx -fuzz '^FuzzPostingsDecode$$' -fuzztime 10s ./internal/search/

@@ -112,8 +112,6 @@ type (
 	// NodeDialOption configures DialNode (timeouts, pool size,
 	// pipelining depth).
 	NodeDialOption = server.DialOption
-	// NodeMirror fans published versions out to remote storage nodes.
-	NodeMirror = cluster.Mirror
 	// NodeFuture is one in-flight pipelined operation (Client.Pipeline).
 	NodeFuture = server.Future
 	// NodeBatchError reports which sub-ops of a batch flush failed.
@@ -282,9 +280,9 @@ func DefaultGeneratorConfig() GeneratorConfig { return workload.DefaultKVConfig(
 // daemon). The caller retains ownership of the store.
 func NewNode(db *Store) *Node { return server.New(db) }
 
-// DialNode connects to a serving Node, negotiating the newest protocol
-// both sides speak (old servers fall back to v1 transparently). Options
-// tune deadlines, pooling and pipelining:
+// DialNode connects to a serving Node. There is no handshake: the
+// first call's request is the connection's first frame. Options tune
+// deadlines, pooling and pipelining:
 //
 //	cl, err := directload.DialNode(addr,
 //	        directload.WithDialTimeout(2*time.Second),
@@ -309,14 +307,6 @@ func WithDialMaxInFlight(n int) NodeDialOption { return server.WithMaxInFlight(n
 // and trace spans.
 func WithDialMetrics(reg *MetricsRegistry) NodeDialOption { return server.WithMetrics(reg) }
 
-// WithDialTracePropagation controls whether the client offers
-// distributed-trace propagation when negotiating (default on); when the
-// server grants it, calls whose context carries an active span ship it
-// in the request frame.
-func WithDialTracePropagation(enabled bool) NodeDialOption {
-	return server.WithTracePropagation(enabled)
-}
-
 // NewMetricsRegistry creates an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 
@@ -336,12 +326,6 @@ func NewSlowLog(capacity int, threshold time.Duration) *SlowLog {
 // ephemeral); run the returned server's Serve on its own goroutine and
 // stop it with Shutdown under a context deadline.
 func ListenOps(addr string, cfg OpsConfig) (*OpsServer, error) { return ops.Listen(addr, cfg) }
-
-// DialMirror connects a Mirror to remote storage nodes; attach it to a
-// System with AttachMirror to replicate published versions over TCP.
-func DialMirror(addrs []string, opts ...NodeDialOption) (*NodeMirror, error) {
-	return cluster.NewMirror(addrs, opts...)
-}
 
 // WaitFutures blocks until every pipelined operation completes and
 // returns the first error among them.

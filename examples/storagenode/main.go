@@ -1,7 +1,7 @@
 // Command storagenode runs a QinDB storage node over TCP in-process and
 // talks to it through the client — the wire-level view of a single Mint
-// node serving deduplicated index data. It demonstrates the protocol v2
-// surface (context-aware calls, batched publishes, pipelined reads) and
+// node serving deduplicated index data. It demonstrates the wire
+// protocol's surface (context-aware calls, batched publishes, pipelined reads) and
 // the operator surface: metrics, distributed tracing across the wire,
 // and the /healthz–/readyz–/debug endpoints.
 //
@@ -62,9 +62,10 @@ func main() {
 	go opsSrv.Serve()
 	fmt.Printf("operator endpoints on http://%s/metrics\n", opsSrv.Addr())
 
-	// The client negotiates protocol v2 (and trace propagation)
-	// automatically; WithDialTimeout bounds every call whose context
-	// carries no deadline.
+	// Dialing performs no handshake: calls pipeline from the first
+	// frame, and a call whose context carries a span ships it in the
+	// request. WithDialTimeout bounds every call whose context carries
+	// no deadline.
 	cl, err := directload.DialNode(ln.Addr().String(),
 		directload.WithDialTimeout(2*time.Second),
 		directload.WithDialMetrics(reg))

@@ -99,6 +99,10 @@ var (
 //	value    [valLen]byte
 const headerSize = 4 + 8 + 8 + 1 + 2 + 4
 
+// MaxKeyLen is the longest key a record can hold: the width of its
+// keyLen field. Every entry point that accepts a key enforces it.
+const MaxKeyLen = 1<<16 - 1
+
 // EncodedLen returns the on-flash size of a record.
 func EncodedLen(keyLen, valLen int) int { return headerSize + keyLen + valLen }
 

@@ -4,60 +4,25 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
-	"directload/internal/aof"
 	"directload/internal/bifrost"
-	"directload/internal/blockfs"
-	"directload/internal/core"
 	"directload/internal/metrics"
 	"directload/internal/ops"
 	"directload/internal/server"
-	"directload/internal/ssd"
 )
 
-// startTracedNode brings up one real TCP storage node wired into the
-// shared registry so its handler spans land in the same tracer as the
-// publisher's.
-func startTracedNode(t *testing.T, reg *metrics.Registry) string {
-	t.Helper()
-	dev, err := ssd.NewDevice(ssd.DefaultConfig(256 << 20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := core.Open(blockfs.NewNativeFS(dev), core.Options{
-		AOF: aof.Config{FileSize: 4 << 20, GCThreshold: 0.25}, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := server.New(db)
-	s.SetLogf(nil)
-	s.SetMetrics(reg)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go s.Serve(ln)
-	t.Cleanup(func() {
-		s.Close()
-		db.Close()
-	})
-	return ln.Addr().String()
-}
-
-// TestMirroredPublishOneTrace is the end-to-end tracing acceptance run:
-// a mirrored publish over real TCP must produce ONE trace that covers
-// the cluster publish, the Bifrost dedup/ship phases, the per-node
-// batch flushes, the server-side batch handlers, and each engine write
-// — and /debug/trace must render it.
-func TestMirroredPublishOneTrace(t *testing.T) {
+// TestFleetPublishOneTrace is the end-to-end tracing acceptance run: a
+// publish through an all-nodes fleet over real TCP must produce ONE
+// trace that covers the cluster publish, the Bifrost dedup/ship phases,
+// the per-replica batch flushes, the server-side batch handlers, and
+// each engine write — and /debug/trace must render it.
+func TestFleetPublishOneTrace(t *testing.T) {
 	reg := metrics.NewRegistry()
-	addr1 := startTracedNode(t, reg)
-	addr2 := startTracedNode(t, reg)
+	addr1, _ := startNode(t, reg)
+	addr2, _ := startNode(t, reg)
 
 	cfg := DefaultConfig()
 	cfg.Metrics = reg
@@ -67,13 +32,8 @@ func TestMirroredPublishOneTrace(t *testing.T) {
 	}
 	defer d.Close()
 
-	m, err := NewMirror([]string{addr1, addr2},
-		server.WithPoolSize(2), server.WithMetrics(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	d.AttachMirror(m)
+	d.AttachFleet(allNodesFleet(t, reg, []string{addr1, addr2},
+		server.WithPoolSize(2), server.WithMetrics(reg)))
 
 	const n = 40
 	entries := make([]Entry, 0, n)
@@ -104,11 +64,11 @@ func TestMirroredPublishOneTrace(t *testing.T) {
 		counts[rec.Name]++
 	}
 	for name, want := range map[string]int{
-		"cluster.publish":        1,
-		"bifrost.dedup":          1,
-		"bifrost.ship":           1,
-		"cluster.mirror.publish": 1,
-		"cluster.mirror.node":    2, // one per mirrored node
+		"cluster.publish":     1,
+		"bifrost.dedup":       1,
+		"bifrost.ship":        1,
+		"fleet.publish":       1,
+		"fleet.replica.write": 2, // one per node
 	} {
 		if counts[name] != want {
 			t.Fatalf("trace has %d %q spans, want %d (all: %v)", counts[name], name, want, counts)
@@ -141,7 +101,7 @@ func TestMirroredPublishOneTrace(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("/debug/trace = %d: %s", resp.StatusCode, body)
 	}
-	for _, want := range []string{"cluster.publish", "bifrost.ship", "cluster.mirror.node",
+	for _, want := range []string{"cluster.publish", "bifrost.ship", "fleet.replica.write",
 		"server.req.batch", "server.batch.put"} {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("/debug/trace output missing %q:\n%s", want, body)

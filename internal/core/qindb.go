@@ -42,6 +42,7 @@ var (
 	ErrBrokenChain  = errors.New("qindb: dedup chain has no base value")
 	ErrClosed       = errors.New("qindb: closed")
 	ErrEmptyKey     = errors.New("qindb: empty key")
+	ErrKeyTooLong   = errors.New("qindb: key exceeds limit")
 	ErrValueTooBig  = errors.New("qindb: value exceeds limit")
 	ErrDedupNoPrior = errors.New("qindb: dedup put without any prior version")
 )
@@ -290,6 +291,18 @@ func (db *DB) Close() error {
 	return db.store.Close()
 }
 
+// checkKey rejects keys a record cannot hold: empty ones, and ones
+// longer than the AOF's keyLen field.
+func checkKey(key []byte) error {
+	if len(key) == 0 {
+		return ErrEmptyKey
+	}
+	if len(key) > aof.MaxKeyLen {
+		return fmt.Errorf("%w: %d bytes", ErrKeyTooLong, len(key))
+	}
+	return nil
+}
+
 // Put stores value under (key, version). A nil/empty value with
 // dedup=true records a deduplicated entry whose real payload lives in an
 // older version (Bifrost stripped it before transmission); the traceback
@@ -297,8 +310,8 @@ func (db *DB) Close() error {
 // GC reproduce exactly this binding. Put returns the simulated device
 // cost of the operation.
 func (db *DB) Put(key []byte, version uint64, value []byte, dedup bool) (time.Duration, error) {
-	if len(key) == 0 {
-		return 0, ErrEmptyKey
+	if err := checkKey(key); err != nil {
+		return 0, err
 	}
 	if len(value) > db.opts.MaxValueSize {
 		return 0, fmt.Errorf("%w: %d bytes", ErrValueTooBig, len(value))
@@ -534,8 +547,8 @@ func (db *DB) GetLatest(key []byte) ([]byte, uint64, time.Duration, error) {
 // Fig. 2, DEL steps 1-2). When auto-GC is enabled and the lazy policy
 // allows, one GC pass may run (steps 3-6).
 func (db *DB) Del(key []byte, version uint64) (time.Duration, error) {
-	if len(key) == 0 {
-		return 0, ErrEmptyKey
+	if err := checkKey(key); err != nil {
+		return 0, err
 	}
 	db.mu.Lock()
 	if db.closed {

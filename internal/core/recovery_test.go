@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"directload/internal/aof"
 	"directload/internal/blockfs"
 )
 
@@ -501,5 +502,38 @@ func TestReviveAfterRelocatedDropSurvivesRecovery(t *testing.T) {
 	defer db2.Close()
 	if got := mustGet(t, db2, "k-000", 1); got != "revived" {
 		t.Fatalf("post-crash: revived key lost, got %q", got)
+	}
+}
+
+// TestKeyLengthLimit pins the key-length contract: a key as long as the
+// AOF's keyLen field can hold round-trips, including through recovery,
+// and one byte more is refused before anything reaches flash — so the
+// store still reopens.
+func TestKeyLengthLimit(t *testing.T) {
+	fs := testFS(t, 256)
+	db, err := Open(fs, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxKey := bytes.Repeat([]byte{'k'}, aof.MaxKeyLen)
+	if _, err := db.Put(maxKey, 1, []byte("max"), false); err != nil {
+		t.Fatalf("Put(%d-byte key): %v", len(maxKey), err)
+	}
+	long := bytes.Repeat([]byte{'k'}, aof.MaxKeyLen+1)
+	if _, err := db.Put(long, 1, []byte("over"), false); !errors.Is(err, ErrKeyTooLong) {
+		t.Fatalf("Put(%d-byte key) err = %v, want ErrKeyTooLong", len(long), err)
+	}
+	if _, err := db.Del(long, 1); !errors.Is(err, ErrKeyTooLong) {
+		t.Fatalf("Del(%d-byte key) err = %v, want ErrKeyTooLong", len(long), err)
+	}
+	if v, _, err := db.Get(maxKey, 1); err != nil || string(v) != "max" {
+		t.Fatalf("Get(max key) = %q, %v", v, err)
+	}
+	db.Close()
+
+	db2 := reopen(t, fs)
+	defer db2.Close()
+	if v, _, err := db2.Get(maxKey, 1); err != nil || string(v) != "max" {
+		t.Fatalf("Get(max key) after reopen = %q, %v", v, err)
 	}
 }

@@ -1,7 +1,7 @@
 // Package fleet is the networked Mint: a client-side shard router that
 // runs the paper's regional store protocol (§2.3 — hash→group
 // placement, R-way replication, parallel reads) over real qindbd nodes
-// using the v2 wire stack (pipelining, OpBatch, trace propagation)
+// using the native wire stack (pipelining, OpBatch, trace propagation)
 // instead of the in-process simulation in internal/mint.
 //
 // Placement is the exact math the simulation uses (mint.Placement), so

@@ -19,7 +19,7 @@ import (
 )
 
 // TestAttributionE2EBothFrontDoors is the acceptance check for per-op
-// attribution: one engine, one Backend, a native v2 listener AND a RESP
+// attribution: one engine, one Backend, a native listener AND a RESP
 // listener on top of it, real traffic through both wires, and
 // /debug/attrib reporting alloc bytes/op for the opcodes each front
 // door exercised — in one shared table.
@@ -61,7 +61,7 @@ func TestAttributionE2EBothFrontDoors(t *testing.T) {
 	opsSrv := httptest.NewServer(NewMux(Config{Attrib: backend.Attribution}))
 	defer opsSrv.Close()
 
-	// Native v2 traffic: puts.
+	// Native traffic: puts.
 	cl, err := server.Dial(nativeLn.Addr().String())
 	if err != nil {
 		t.Fatal(err)

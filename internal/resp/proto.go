@@ -27,7 +27,7 @@
 // index onto an engine data version (index n → version n+1, so the
 // default database 0 is the conventional version 1). MULTI/EXEC queues
 // mutations and commits them as one atomic OpBatch through the shared
-// Backend — the same code path, metrics and trace shape as a native v2
+// Backend — the same code path, metrics and trace shape as a native
 // batch frame. See DESIGN.md §12.
 package resp
 

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"directload/internal/aof"
 	"directload/internal/core"
 	"directload/internal/metrics"
 	"directload/internal/server"
@@ -175,7 +176,7 @@ func VersionForDB(index int) uint64 {
 // Read-burst dispatch. A pipelined run of consecutive GETs has no
 // ordering constraints among its members — they are pure reads with no
 // intervening write — so the handler executes them concurrently (like
-// the native v2 listener's -max-inflight window) and writes the replies
+// the native listener's -max-inflight window) and writes the replies
 // back in command order. The burst ends at the first non-GET command,
 // which preserves read-your-writes across the pipeline.
 const (
@@ -397,14 +398,14 @@ func validateArity(name string, args [][]byte) error {
 		}
 	}
 	for _, a := range args[1:] {
-		if len(a) > server.MaxKeyLen && name != "SET" && name != "MSET" && name != "ECHO" {
-			return fmt.Errorf("key exceeds %d bytes", server.MaxKeyLen)
+		if len(a) > aof.MaxKeyLen && name != "SET" && name != "MSET" && name != "ECHO" {
+			return fmt.Errorf("key exceeds %d bytes", aof.MaxKeyLen)
 		}
 	}
 	if name == "SET" || name == "MSET" {
 		for i := 1; i < len(args); i += 2 {
-			if len(args[i]) > server.MaxKeyLen {
-				return fmt.Errorf("key exceeds %d bytes", server.MaxKeyLen)
+			if len(args[i]) > aof.MaxKeyLen {
+				return fmt.Errorf("key exceeds %d bytes", aof.MaxKeyLen)
 			}
 		}
 	}
@@ -521,7 +522,7 @@ func (c *conn) writeGetReply(val []byte, err error) {
 
 // exec commits the MULTI queue. All mutations across the queue become
 // ONE OpBatch committed through Backend.AtomicBatch — the same code
-// path, server.req.batch metrics and trace shape as a native v2 batch
+// path, server.req.batch metrics and trace shape as a native batch
 // frame — and the per-command replies are reconstructed from the batch
 // results. Reads execute after the commit, so a transaction's reads
 // observe its own writes wherever they appear in the queue. A

@@ -571,3 +571,78 @@ func bufReadAll(nc net.Conn) ([]byte, error) {
 		}
 	}
 }
+
+// TestKeyLengthLimitBothFrontDoors pins the key-length contract across
+// the wire: a key as long as the AOF's keyLen field can hold
+// round-trips through RESP and the native protocol, one byte more is
+// refused at every entry, and the store still reopens afterwards.
+func TestKeyLengthLimitBothFrontDoors(t *testing.T) {
+	dev, err := ssd.NewDevice(ssd.DefaultConfig(256 << 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := blockfs.NewNativeFS(dev)
+	opts := core.Options{AOF: aof.Config{FileSize: 4 << 20, GCThreshold: 0.25}, Seed: 1}
+	db, err := core.Open(fs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := server.NewBackend(db)
+	_, rc := startRESP(t, b)
+	nc := startNative(t, b)
+	ctx := context.Background()
+	maxKey := strings.Repeat("k", aof.MaxKeyLen)
+	long := strings.Repeat("k", aof.MaxKeyLen+1)
+
+	// RESP db 0 is version 1; the native client writes version 2.
+	if r := mustDo(t, rc, "SET", maxKey, "resp"); r.Str != "OK" {
+		t.Fatalf("SET max key = %+v", r)
+	}
+	if r := mustDo(t, rc, "GET", maxKey); string(r.Bulk) != "resp" {
+		t.Fatalf("GET max key = %+v", r)
+	}
+	if err := nc.PutContext(ctx, []byte(maxKey), 2, []byte("native"), false); err != nil {
+		t.Fatalf("native Put max key: %v", err)
+	}
+	if v, err := nc.GetContext(ctx, []byte(maxKey), 2); err != nil || string(v) != "native" {
+		t.Fatalf("native Get max key = %q, %v", v, err)
+	}
+
+	for _, args := range [][]string{
+		{"SET", long, "v"}, {"MSET", "a", "1", long, "2"}, {"GET", long},
+	} {
+		if r := mustDo(t, rc, args...); r.Err == nil || !strings.Contains(r.Err.Error(), "key exceeds") {
+			t.Fatalf("%s with a %d-byte key = %+v, want refusal", args[0], len(long), r)
+		}
+	}
+	if err := nc.PutContext(ctx, []byte(long), 2, []byte("v"), false); !errors.Is(err, server.ErrFrameTooBig) {
+		t.Fatalf("native Put long key err = %v", err)
+	}
+	batch := nc.Batcher()
+	if err := batch.Put(ctx, []byte(long), 2, []byte("v"), false); err != nil {
+		t.Fatal(err)
+	}
+	if err := batch.Flush(ctx); !errors.Is(err, server.ErrFrameTooBig) {
+		t.Fatalf("native batch long key err = %v", err)
+	}
+	if err := b.Put(ctx, []byte(long), 2, []byte("v"), false); !errors.Is(err, core.ErrKeyTooLong) {
+		t.Fatalf("Backend.Put long key err = %v", err)
+	}
+	if _, err := b.AtomicBatch(ctx, []server.BatchOp{{Op: server.OpPut, Version: 2, Key: []byte(long)}}); !errors.Is(err, server.ErrFrameTooBig) {
+		t.Fatalf("Backend.AtomicBatch long key err = %v", err)
+	}
+
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := core.Open(fs, opts)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer db2.Close()
+	for v, want := range map[uint64]string{1: "resp", 2: "native"} {
+		if got, _, err := db2.Get([]byte(maxKey), v); err != nil || string(got) != want {
+			t.Fatalf("Get(max key, v%d) after reopen = %q, %v", v, got, err)
+		}
+	}
+}

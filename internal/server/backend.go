@@ -8,13 +8,14 @@ import (
 	"sync/atomic"
 	"time"
 
+	"directload/internal/aof"
 	"directload/internal/core"
 	"directload/internal/metrics"
 )
 
 // Backend executes engine operations on behalf of a transport listener.
 // It is the transport-agnostic half of the server: every front door —
-// the native v1/v2 binary listener in this package, the RESP listener
+// the native binary listener in this package, the RESP listener
 // in internal/resp — funnels its requests through one Backend, so all
 // protocols share one engine, one set of server.* metrics, one slowlog,
 // one read SLO, and one trace timeline. The wire encodings stay with
@@ -58,6 +59,9 @@ func (b *Backend) SetMetrics(reg *metrics.Registry) {
 	}
 	for op := OpPut; op <= opMax; op++ {
 		name := opNames[op]
+		if name == "" {
+			continue // retired opcode
+		}
 		b.met.reqs[op] = reg.Counter("server.req." + name)
 		b.met.lat[op] = reg.Histogram("server.req." + name + ".latency_us")
 		b.met.allocB[op] = reg.Histogram("server.req." + name + ".alloc_bytes")
@@ -93,7 +97,7 @@ func (b *Backend) SetReadSLO(slo *metrics.SLO) {
 // /debug/attrib table and the server.req.<op>.alloc_bytes histograms.
 // every <= 0 disables. Safe at runtime; the table resets on re-enable.
 // Because the table hangs off the Backend, it covers every front door —
-// native v1/v2 and RESP traffic land in one table.
+// native and RESP traffic land in one table.
 func (b *Backend) SetAttribution(every int) {
 	if every <= 0 {
 		b.attr.Store(nil)
@@ -346,7 +350,7 @@ func validateBatchOp(op BatchOp) error {
 	if op.Op != OpDropVersion && len(op.Key) == 0 {
 		return core.ErrEmptyKey
 	}
-	if len(op.Key) > MaxKeyLen {
+	if len(op.Key) > aof.MaxKeyLen {
 		return fmt.Errorf("%w: key %d bytes", ErrFrameTooBig, len(op.Key))
 	}
 	if len(op.Value) > MaxValueLen {

@@ -50,13 +50,13 @@ func benchKV(version uint64, i int) ([]byte, []byte) {
 }
 
 // BenchmarkRemotePublish compares publishing a 10k-entry version over
-// the wire three ways: one blocking round trip per record (the v1
-// behavior), pipelined individual puts, and OpBatch frames. The per-op
+// the wire three ways: one blocking round trip per record, pipelined
+// individual puts, and OpBatch frames. The per-op
 // figure to compare is ns/op divided by publishEntries.
 func BenchmarkRemotePublish(b *testing.B) {
 	b.Run("naive", func(b *testing.B) {
 		addr := benchNode(b)
-		cl, err := Dial(addr, WithMaxProtocol(ProtoV1))
+		cl, err := Dial(addr)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,21 +1,6 @@
 package server
 
-import (
-	"errors"
-
-	"directload/internal/core"
-)
-
-// Client sentinel errors.
-//
-// Deprecated: match against the engine sentinels instead —
-// errors.Is(err, core.ErrNotFound) and errors.Is(err, core.ErrDeleted)
-// hold across the wire via StatusError. These remain so existing
-// errors.Is checks keep working.
-var (
-	ErrNotFound = errors.New("qindb client: not found")
-	ErrDeleted  = errors.New("qindb client: deleted")
-)
+import "directload/internal/core"
 
 // StatusError is a non-OK server reply carried back to the caller. It
 // is the single error representation for the whole wire path: the
@@ -25,7 +10,7 @@ var (
 // engine is local or behind TCP — no string matching, no per-layer
 // translation tables.
 type StatusError struct {
-	Code uint8  // StatusNotFound, StatusDeleted or StatusError
+	Code uint8  // StatusNotFound, StatusDeleted or StatusFailed
 	Msg  string // server-side error text
 }
 
@@ -46,13 +31,13 @@ func (e *StatusError) Error() string {
 	return prefix + ": " + e.Msg
 }
 
-// Is maps the wire status onto the engine sentinels (and the deprecated
-// client-local ones), making errors.Is transparent across the network.
+// Is maps the wire status onto the engine sentinels, making errors.Is
+// transparent across the network.
 func (e *StatusError) Is(target error) bool {
 	switch target {
-	case core.ErrNotFound, ErrNotFound:
+	case core.ErrNotFound:
 		return e.Code == StatusNotFound
-	case core.ErrDeleted, ErrDeleted:
+	case core.ErrDeleted:
 		return e.Code == StatusDeleted
 	}
 	return false

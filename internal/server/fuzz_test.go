@@ -14,42 +14,6 @@ import (
 // fails to fill.
 const fuzzFrameCap = 1 << 20
 
-// FuzzFrameV1 drives arbitrary bytes through the v1 frame reader and
-// round-trips every frame it accepts.
-func FuzzFrameV1(f *testing.F) {
-	good, err := encodeRequest(request{Op: OpPut, Version: 7, Key: []byte("k"), Value: []byte("v")})
-	if err != nil {
-		f.Fatal(err)
-	}
-	var seed bytes.Buffer
-	if err := writeFrame(&seed, good); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed.Bytes())
-	f.Add([]byte{0, 0, 0, 0})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) >= 4 && binary.LittleEndian.Uint32(data) > fuzzFrameCap {
-			return
-		}
-		payload, err := readFrame(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var out bytes.Buffer
-		if err := writeFrame(&out, payload); err != nil {
-			t.Fatalf("re-encoding an accepted frame failed: %v", err)
-		}
-		back, err := readFrame(bytes.NewReader(out.Bytes()))
-		if err != nil {
-			t.Fatalf("round-trip decode failed: %v", err)
-		}
-		if !bytes.Equal(back, payload) {
-			t.Fatalf("round-trip payload mismatch: %d vs %d bytes", len(back), len(payload))
-		}
-	})
-}
-
 // FuzzRequest drives arbitrary bytes through the request body parser
 // and re-encodes whatever it accepts.
 func FuzzRequest(f *testing.F) {
@@ -84,9 +48,9 @@ func FuzzRequest(f *testing.F) {
 	})
 }
 
-// FuzzFrameV2 parses arbitrary bytes the way the v2 server read loop
-// does: seq-framed, optionally trace-tagged, optionally a batch of
-// packed sub-ops.
+// FuzzFrameV2 parses arbitrary bytes the way the server read loop does:
+// seq-framed, optionally trace-tagged, optionally a batch of packed
+// sub-ops.
 func FuzzFrameV2(f *testing.F) {
 	plain, err := encodeRequest(request{Op: OpPut, Version: 5, Key: []byte("k"), Value: []byte("v")})
 	if err != nil {
@@ -151,6 +115,32 @@ func FuzzFrameV2(f *testing.F) {
 		}
 		if _, err := decodeRequest(enc); err != nil {
 			t.Fatalf("round-trip decode failed: %v", err)
+		}
+	})
+}
+
+// FuzzBatchReply drives arbitrary bytes through the batch-reply decoder
+// the client runs on every OpBatch response. A declared count the body
+// cannot carry must be refused before anything is allocated for it.
+func FuzzBatchReply(f *testing.F) {
+	f.Add(encodeBatchReply([]subStatus{
+		{status: StatusOK},
+		{status: StatusNotFound, msg: []byte("missing")},
+	}))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		statuses, err := decodeBatchReply(data)
+		if err != nil {
+			return
+		}
+		back, err := decodeBatchReply(encodeBatchReply(statuses))
+		if err != nil || len(back) != len(statuses) {
+			t.Fatalf("round trip = %d statuses, %v; want %d", len(back), err, len(statuses))
+		}
+		for i := range back {
+			if back[i].status != statuses[i].status || !bytes.Equal(back[i].msg, statuses[i].msg) {
+				t.Fatalf("status %d round-trip mismatch", i)
+			}
 		}
 	})
 }

@@ -9,10 +9,8 @@ import (
 // Pipeline issues requests without waiting for their responses, keeping
 // many operations in flight across the client's connection pool. Each
 // method returns immediately with a Future; waiting on the future
-// yields that operation's outcome. On a v2 connection the requests
-// genuinely share the wire (the server completes them concurrently and
-// out of order); against a v1 server the futures degrade to serialized
-// round trips but the API is identical.
+// yields that operation's outcome. The requests genuinely share the
+// wire: the server completes them concurrently and out of order.
 //
 // Pipelined operations may execute in any order — a caller that needs
 // op B to observe op A must wait on A's future before issuing B.
@@ -27,10 +25,9 @@ type Pipeline struct {
 // shares the client's connections; it needs no separate lifecycle.
 func (c *Client) Pipeline() *Pipeline { return &Pipeline{c: c} }
 
-// Future is one in-flight operation's pending outcome. On a v2
-// connection the request is already on the wire when the Future is
-// returned; the first Err/Value call collects the response. Futures are
-// safe for concurrent waiters.
+// Future is one in-flight operation's pending outcome. The request is
+// already on the wire when the Future is returned; the first Err/Value
+// call collects the response. Futures are safe for concurrent waiters.
 type Future struct {
 	once    sync.Once
 	wait    func(f *Future) // collects the outcome; nil when pre-resolved
@@ -73,10 +70,9 @@ func (f *Future) fill(status uint8, payload []byte, err error) {
 	f.payload = payload
 }
 
-// issue starts one asynchronous request. On a v2 connection the frame
-// is written inline — no goroutine per operation — and the response is
-// collected lazily by the future. A v1 connection can't interleave
-// round trips, so the whole call runs in the background instead.
+// issue starts one asynchronous request. The frame is written inline —
+// no goroutine per operation — and the response is collected lazily by
+// the future.
 func (p *Pipeline) issue(ctx context.Context, req request) *Future {
 	c := p.c
 	body, err := encodeRequest(req)
@@ -89,34 +85,17 @@ func (p *Pipeline) issue(ctx context.Context, req request) *Future {
 		cancel()
 		return &Future{err: err}
 	}
-	if w.proto >= ProtoV2 {
-		c.inflight.Add(1)
-		pc, err := w.sendV2(ctx, body)
-		if err != nil {
-			c.inflight.Add(-1)
-			cancel()
-			return &Future{err: err}
-		}
-		return &Future{wait: func(f *Future) {
-			f.fill(w.awaitV2(ctx, pc))
-			c.inflight.Add(-1)
-			cancel()
-		}}
-	}
-	done := make(chan struct{})
-	var status uint8
-	var payload []byte
-	var cerr error
-	go func() {
-		defer close(done)
-		c.inflight.Add(1)
-		status, payload, cerr = w.call(ctx, body)
+	c.inflight.Add(1)
+	pc, err := w.send(ctx, body)
+	if err != nil {
 		c.inflight.Add(-1)
 		cancel()
-	}()
+		return &Future{err: err}
+	}
 	return &Future{wait: func(f *Future) {
-		<-done
-		f.fill(status, payload, cerr)
+		f.fill(w.await(ctx, pc))
+		c.inflight.Add(-1)
+		cancel()
 	}}
 }
 

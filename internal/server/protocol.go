@@ -5,57 +5,25 @@
 // length-prefixed request/response frames carrying the mutated
 // GET/PUT/DEL operations of paper Fig. 2.
 //
-// # Protocol v1 (legacy, strictly in-order)
+// # Framing
 //
-// Frame layout (all integers little-endian):
-//
-//	request:  len u32 | op u8 | version u64 | keyLen u16 | key | valLen u32 | value
-//	response: len u32 | status u8 | payloadLen u32 | payload
-//
-// Requests on a connection are answered in order, one response per
-// request.
-//
-// # Version negotiation
-//
-// A client that speaks v2 sends OpHello as its very first request, with
-// the highest protocol version it supports in the Version field. The
-// server answers StatusOK with a one-byte payload carrying the version
-// it accepted; if that version is >= 2, both sides switch to v2 framing
-// for the remainder of the connection. A server that predates OpHello
-// answers a StatusFailed response ("unknown op") and the client stays on v1. Old
-// clients never send OpHello, so they keep speaking v1 against new
-// servers — both directions interoperate.
-//
-// A client may additionally offer optional features in the hello's
-// Value field (byte 0 = feature bits; today only bit 0, trace-context
-// propagation). A server that understands features answers with a
-// TWO-byte payload — accepted version, accepted feature bits — but only
-// when the client offered features, so clients that predate them still
-// get the one-byte reply they expect. Servers that predate features
-// ignore the Value field and answer one byte, which the offering client
-// reads as "no features": v2-without-trace interop needs no flag day
-// either.
-//
-// # Protocol v2 (pipelined)
-//
-// Every frame gains a per-request sequence number directly after the
-// length prefix:
+// There is one framing, spoken from a connection's first byte; there is
+// no handshake. All integers are little-endian:
 //
 //	request:  len u32 | seq u32 | op u8 | version u64 | keyLen u16 | key | valLen u32 | value
 //	response: len u32 | seq u32 | status u8 | payloadLen u32 | payload
 //
-// (len counts everything after itself, including seq.) The client may
+// len counts everything after itself, including seq. The client may
 // keep many requests in flight on one connection; the server dispatches
 // them concurrently (bounded by its max-in-flight knob) and responses
 // may arrive in any order — seq matches a response to its request.
 // Operations pipelined concurrently may execute in any order, so
 // dependent operations must wait for their predecessor's response.
 //
-// # Trace context (v2, negotiated)
+// # Trace context
 //
-// On a connection that negotiated the trace feature, a request frame
-// whose seq has its high bit set carries a 16-byte trace-context field
-// between seq and the op byte:
+// A request frame whose seq has its high bit set carries a 16-byte
+// trace-context field between seq and the op byte:
 //
 //	request: len u32 | seq u32 (bit31=1) | traceID u64 | parentSpanID u64 | op u8 | ...
 //
@@ -65,14 +33,13 @@
 // what stitches one publish's fan-out into a single cross-node trace.
 // Untraced requests never set the bit and pay nothing. Response frames
 // never carry trace context, and seq is echoed back without the flag
-// bit (sequence numbers are 31-bit on trace-enabled connections —
-// exhausting them would take decades on one connection).
+// bit, so sequence numbers are 31-bit.
 //
 // # OpBatch
 //
 // OpBatch packs N mutation sub-ops into one frame: Version holds the
 // sub-op count and Value the concatenated sub-ops, each encoded exactly
-// like a v1 request body (op u8 | version u64 | keyLen u16 | key |
+// like a request body (op u8 | version u64 | keyLen u16 | key |
 // valLen u32 | value). Only OpPut, OpPutDedup, OpDel and OpDropVersion
 // may appear as sub-ops. The server applies the batch in one pass and
 // answers StatusOK with one status per sub-op:
@@ -81,25 +48,24 @@
 //
 // msg is empty for StatusOK entries. A failing sub-op does not poison
 // the frame: the remaining sub-ops are still applied and reported
-// individually. OpBatch is negotiated with v2 but the server accepts it
-// on v1 connections too.
+// individually.
 //
 // # OpRange
 //
 // The request reuses the generic fields: Key = inclusive lower bound,
 // Value = exclusive upper bound, Version = limit. A limit <= 0 means
 // "server default" (the server's range cap, 4096 unless configured);
-// a positive limit is clamped to that cap. The v2 reply payload leads
+// a positive limit is clamped to that cap. The reply payload leads
 // with the applied limit:
 //
-//	v2 payload: appliedLimit u32 | entries
-//	v1 payload: entries
+//	payload: appliedLimit u32 | entries
 //
 // where entries are keyLen u16 | key | version u64 triples.
 //
 // For OpStats the payload is a JSON-encoded StatsReply. For OpMetrics
 // the payload is the JSON encoding of the server's metrics registry
-// snapshot ({} when the server runs uninstrumented).
+// snapshot ({} when the server runs uninstrumented). Opcode 11 is
+// retired and answered with "unknown op".
 package server
 
 import (
@@ -108,6 +74,7 @@ import (
 	"fmt"
 	"io"
 
+	"directload/internal/aof"
 	"directload/internal/metrics"
 )
 
@@ -123,31 +90,14 @@ const (
 	OpRange
 	OpPing
 	OpMetrics
-	OpHello // protocol version negotiation (first request of a v2 client)
+	_       // 11: retired, answered with "unknown op"
 	OpBatch // N packed mutation sub-ops in one frame
 )
 
 // opMax is the highest assigned opcode (bounds the per-opcode arrays).
 const opMax = OpBatch
 
-// Protocol versions. ProtoV1 is the legacy one-op-per-round-trip
-// protocol; ProtoV2 adds sequence numbers, pipelining and batching.
-const (
-	ProtoV1 = 1
-	ProtoV2 = 2
-	// MaxProto is the highest version this package speaks.
-	MaxProto = ProtoV2
-)
-
-// Optional feature bits offered in OpHello's Value field (byte 0) and
-// echoed in the second byte of a two-byte hello reply.
-const (
-	// helloFeatTrace: v2 request frames may carry a 16-byte trace
-	// context flagged by seqTraceFlag.
-	helloFeatTrace uint8 = 1 << 0
-)
-
-// seqTraceFlag marks a v2 request frame that carries a trace-context
+// seqTraceFlag marks a request frame that carries a trace-context
 // field. Responses never set it; the server masks it off before echo.
 const seqTraceFlag uint32 = 1 << 31
 
@@ -155,12 +105,13 @@ const seqTraceFlag uint32 = 1 << 31
 // parentSpanID u64.
 const traceHeaderLen = 16
 
-// opNames labels ops for per-opcode metric names.
+// opNames labels ops for per-opcode metric names; retired opcodes have
+// no name.
 var opNames = [opMax + 1]string{
 	OpPut: "put", OpPutDedup: "putd", OpGet: "get", OpDel: "del",
 	OpDropVersion: "drop", OpHas: "has", OpStats: "stats",
 	OpRange: "range", OpPing: "ping", OpMetrics: "metrics",
-	OpHello: "hello", OpBatch: "batch",
+	OpBatch: "batch",
 }
 
 // Response statuses. (StatusFailed was once named StatusError; the
@@ -172,12 +123,12 @@ const (
 	StatusFailed
 )
 
-// Protocol limits: a request may carry one key and one value (a batch
-// frame may carry many sub-ops up to the frame cap).
+// Protocol limits: a request may carry one key (at most aof.MaxKeyLen
+// bytes, the width the store can record) and one value (a batch frame
+// may carry many sub-ops up to the frame cap).
 const (
-	MaxKeyLen   = 1 << 16
 	MaxValueLen = 64 << 20
-	maxFrame    = MaxValueLen + MaxKeyLen + 64
+	maxFrame    = MaxValueLen + aof.MaxKeyLen + 64
 )
 
 // Protocol errors.
@@ -194,36 +145,7 @@ type request struct {
 	Value   []byte
 }
 
-// writeFrame writes a length-prefixed v1 frame.
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > maxFrame {
-		return ErrFrameTooBig
-	}
-	buf := make([]byte, 4+len(payload))
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(payload)))
-	copy(buf[4:], payload)
-	_, err := w.Write(buf) // one write: a frame never splits into two syscalls
-	return err
-}
-
-// readFrame reads one length-prefixed v1 frame.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// writeFrameSeq writes a v2 frame: len u32 | seq u32 | body.
+// writeFrameSeq writes one frame: len u32 | seq u32 | body.
 func writeFrameSeq(w io.Writer, seq uint32, body []byte) error {
 	if len(body)+4 > maxFrame {
 		return ErrFrameTooBig
@@ -233,7 +155,7 @@ func writeFrameSeq(w io.Writer, seq uint32, body []byte) error {
 	return err
 }
 
-// appendFrameSeq appends one encoded v2 frame to buf, letting callers
+// appendFrameSeq appends one encoded frame to buf, letting callers
 // coalesce several frames into a single write.
 func appendFrameSeq(buf []byte, seq uint32, body []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(body)+4))
@@ -241,7 +163,7 @@ func appendFrameSeq(buf []byte, seq uint32, body []byte) []byte {
 	return append(buf, body...)
 }
 
-// appendFrameSeqTrace appends one v2 request frame carrying a
+// appendFrameSeqTrace appends one request frame carrying a
 // trace-context field; seq must already have seqTraceFlag set.
 func appendFrameSeqTrace(buf []byte, seq uint32, sc metrics.SpanContext, body []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(body)+4+traceHeaderLen))
@@ -264,8 +186,7 @@ func splitTraceHeader(body []byte) (metrics.SpanContext, []byte, error) {
 	return sc, body[traceHeaderLen:], nil
 }
 
-// readFrameSeq reads one v2 frame, returning its sequence number and
-// body.
+// readFrameSeq reads one frame, returning its sequence number and body.
 func readFrameSeq(r io.Reader) (uint32, []byte, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
@@ -273,7 +194,7 @@ func readFrameSeq(r io.Reader) (uint32, []byte, error) {
 	}
 	n := binary.LittleEndian.Uint32(hdr[:4])
 	if n < 4 {
-		return 0, nil, fmt.Errorf("%w: v2 frame shorter than its seq", ErrBadFrame)
+		return 0, nil, fmt.Errorf("%w: frame shorter than its seq", ErrBadFrame)
 	}
 	if n > maxFrame {
 		return 0, nil, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
@@ -291,7 +212,7 @@ func readFrameSeq(r io.Reader) (uint32, []byte, error) {
 
 // encodeRequest serializes a request body (without the frame header).
 func encodeRequest(req request) ([]byte, error) {
-	if len(req.Key) > MaxKeyLen {
+	if len(req.Key) > aof.MaxKeyLen {
 		return nil, fmt.Errorf("%w: key %d bytes", ErrFrameTooBig, len(req.Key))
 	}
 	if len(req.Value) > MaxValueLen {
@@ -373,9 +294,10 @@ type RangeEntry struct {
 	Version uint64
 }
 
-// encodeRangeEntries packs range results.
-func encodeRangeEntries(entries []RangeEntry) []byte {
-	var buf []byte
+// encodeRangeReply packs a range reply: the applied limit, then one
+// keyLen u16 | key | version u64 triple per entry.
+func encodeRangeReply(applied int, entries []RangeEntry) []byte {
+	buf := binary.LittleEndian.AppendUint32(nil, uint32(applied))
 	for _, e := range entries {
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(e.Key)))
 		buf = append(buf, e.Key...)
@@ -384,17 +306,21 @@ func encodeRangeEntries(entries []RangeEntry) []byte {
 	return buf
 }
 
-// decodeRangeEntries unpacks range results.
-func decodeRangeEntries(buf []byte) ([]RangeEntry, error) {
+// decodeRangeReply unpacks a range reply.
+func decodeRangeReply(buf []byte) ([]RangeEntry, int, error) {
+	if len(buf) < 4 {
+		return nil, 0, fmt.Errorf("%w: short range reply", ErrBadFrame)
+	}
+	applied := int(binary.LittleEndian.Uint32(buf))
 	var out []RangeEntry
-	for p := 0; p < len(buf); {
+	for p := 4; p < len(buf); {
 		if p+2 > len(buf) {
-			return nil, ErrBadFrame
+			return nil, 0, ErrBadFrame
 		}
 		klen := int(binary.LittleEndian.Uint16(buf[p:]))
 		p += 2
 		if p+klen+8 > len(buf) {
-			return nil, ErrBadFrame
+			return nil, 0, ErrBadFrame
 		}
 		e := RangeEntry{Key: append([]byte(nil), buf[p:p+klen]...)}
 		p += klen
@@ -402,23 +328,7 @@ func decodeRangeEntries(buf []byte) ([]RangeEntry, error) {
 		p += 8
 		out = append(out, e)
 	}
-	return out, nil
-}
-
-// encodeRangeReply packs a v2 range reply: applied limit then entries.
-func encodeRangeReply(applied int, entries []RangeEntry) []byte {
-	buf := binary.LittleEndian.AppendUint32(nil, uint32(applied))
-	return append(buf, encodeRangeEntries(entries)...)
-}
-
-// decodeRangeReply unpacks a v2 range reply.
-func decodeRangeReply(buf []byte) ([]RangeEntry, int, error) {
-	if len(buf) < 4 {
-		return nil, 0, fmt.Errorf("%w: short range reply", ErrBadFrame)
-	}
-	applied := int(binary.LittleEndian.Uint32(buf))
-	entries, err := decodeRangeEntries(buf[4:])
-	return entries, applied, err
+	return out, applied, nil
 }
 
 // BatchOp is one sub-op of an OpBatch frame. Only mutations may be
@@ -446,7 +356,7 @@ func encodeBatch(ops []BatchOp) ([]byte, error) {
 		if !batchable(op.Op) {
 			return nil, fmt.Errorf("%w: op %d not batchable", ErrBadFrame, op.Op)
 		}
-		if len(op.Key) > MaxKeyLen {
+		if len(op.Key) > aof.MaxKeyLen {
 			return nil, fmt.Errorf("%w: key %d bytes", ErrFrameTooBig, len(op.Key))
 		}
 		if len(op.Value) > MaxValueLen {
@@ -507,12 +417,17 @@ func encodeBatchReply(statuses []subStatus) []byte {
 	return buf
 }
 
-// decodeBatchReply unpacks per-sub-op statuses.
+// decodeBatchReply unpacks per-sub-op statuses, bounding the declared
+// count by what the body can carry (3 bytes per status) before
+// allocating for it.
 func decodeBatchReply(buf []byte) ([]subStatus, error) {
 	if len(buf) < 4 {
 		return nil, fmt.Errorf("%w: short batch reply", ErrBadFrame)
 	}
 	count := int(binary.LittleEndian.Uint32(buf))
+	if count > (len(buf)-4)/3 {
+		return nil, fmt.Errorf("%w: batch reply count %d", ErrBadFrame, count)
+	}
 	out := make([]subStatus, 0, count)
 	for p := 4; p < len(buf); {
 		if p+3 > len(buf) {

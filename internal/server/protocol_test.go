@@ -15,112 +15,71 @@ import (
 	"directload/internal/metrics"
 )
 
-// TestNegotiationDefaultsToV2 verifies a plain Dial lands on v2 against
-// a new server.
-func TestNegotiationDefaultsToV2(t *testing.T) {
-	_, cl := startServer(t)
-	if got := cl.Proto(); got != ProtoV2 {
-		t.Fatalf("Proto = %d, want %d", got, ProtoV2)
-	}
-}
-
-// TestInteropV1ClientNewServer pins the backward direction: a client
-// capped at v1 (wire-identical to an old client: it never sends
-// OpHello) works against a v2 server, including range decoding.
-func TestInteropV1ClientNewServer(t *testing.T) {
-	s, _ := startServer(t)
-	cl, err := Dial(s.Addr().String(), WithMaxProtocol(ProtoV1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if got := cl.Proto(); got != ProtoV1 {
-		t.Fatalf("Proto = %d, want %d", got, ProtoV1)
-	}
-	ctx := context.Background()
-	if err := cl.PutContext(ctx, []byte("v1k"), 1, []byte("v1v"), false); err != nil {
-		t.Fatal(err)
-	}
-	val, err := cl.GetContext(ctx, []byte("v1k"), 1)
-	if err != nil || string(val) != "v1v" {
-		t.Fatalf("Get = %q, %v", val, err)
-	}
-	entries, applied, err := cl.RangeContext(ctx, nil, nil, 10)
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("Range = %d entries, %v", len(entries), err)
-	}
-	if applied != -1 {
-		t.Fatalf("v1 applied limit = %d, want -1 (unreported)", applied)
-	}
-}
-
-// TestInteropNewClientV1Server pins the forward direction: a v2 client
-// negotiates down against a server capped at v1 and keeps working.
-func TestInteropNewClientV1Server(t *testing.T) {
-	s, _ := startServer(t) // startServer's own client predates the cap; ignore it
-	s.SetMaxProtocol(ProtoV1)
-	cl, err := Dial(s.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if got := cl.Proto(); got != ProtoV1 {
-		t.Fatalf("Proto = %d, want %d", got, ProtoV1)
-	}
-	ctx := context.Background()
-	if err := cl.PutContext(ctx, []byte("down"), 1, []byte("graded"), false); err != nil {
-		t.Fatal(err)
-	}
-	if val, err := cl.GetContext(ctx, []byte("down"), 1); err != nil || string(val) != "graded" {
-		t.Fatalf("Get = %q, %v", val, err)
-	}
-}
-
-// TestInteropAncientServer pins the fallback against a server that
-// predates OpHello entirely: it answers the hello with StatusFailed
-// ("unknown op") and the client must stay on v1.
-func TestInteropAncientServer(t *testing.T) {
+// TestDialSendsRequestFirst verifies there is no handshake: Dial
+// writes nothing, and the first frame on a fresh connection is the
+// client's first request.
+func TestDialSendsRequestFirst(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
+	first := make(chan request, 1)
 	go func() {
 		conn, err := ln.Accept()
 		if err != nil {
 			return
 		}
 		defer conn.Close()
-		for {
-			frame, err := readFrame(conn)
-			if err != nil {
-				return
-			}
-			req, err := decodeRequest(frame)
-			var resp []byte
-			switch {
-			case err != nil:
-				resp = encodeResponse(StatusFailed, []byte(err.Error()))
-			case req.Op == OpPing:
-				resp = encodeResponse(StatusOK, []byte("pong"))
-			default: // an old server knows no OpHello
-				resp = encodeResponse(StatusFailed, []byte("unknown op"))
-			}
-			if err := writeFrame(conn, resp); err != nil {
-				return
-			}
+		seq, body, err := readFrameSeq(conn)
+		if err != nil {
+			return
 		}
+		req, err := decodeRequest(body)
+		if err != nil {
+			return
+		}
+		first <- req
+		writeFrameSeq(conn, seq, encodeResponse(StatusOK, []byte("pong")))
 	}()
 	cl, err := Dial(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if got := cl.Proto(); got != ProtoV1 {
-		t.Fatalf("Proto = %d, want %d", got, ProtoV1)
-	}
 	if err := cl.PingContext(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+	if req := <-first; req.Op != OpPing {
+		t.Fatalf("first frame carried op %d, want OpPing", req.Op)
+	}
+}
+
+// TestRetiredOpcode verifies opcode 11 (once the handshake) is answered
+// like any unknown op, and the connection keeps serving.
+func TestRetiredOpcode(t *testing.T) {
+	s, _ := startServer(t)
+	conn, err := net.Dial("tcp", s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for seq, op := range []uint8{11, OpPing} {
+		body, _ := encodeRequest(request{Op: op})
+		if err := writeFrameSeq(conn, uint32(seq), body); err != nil {
+			t.Fatal(err)
+		}
+		got, frame, err := readFrameSeq(conn)
+		if err != nil || got != uint32(seq) {
+			t.Fatalf("op %d: reply seq %d, %v", op, got, err)
+		}
+		status, payload, _ := decodeResponse(frame)
+		switch {
+		case op == 11 && (status != StatusFailed || string(payload) != "unknown op"):
+			t.Fatalf("op 11 = status %d %q, want unknown op", status, payload)
+		case op == OpPing && (status != StatusOK || string(payload) != "pong"):
+			t.Fatalf("ping after op 11 = status %d %q", status, payload)
+		}
 	}
 }
 
@@ -139,14 +98,9 @@ func TestPipelinedOutOfOrder(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		// Hello.
-		frame, _ := readFrame(conn)
-		if req, err := decodeRequest(frame); err != nil || req.Op != OpHello {
-			return
-		}
-		writeFrame(conn, encodeResponse(StatusOK, []byte{ProtoV2}))
 		// Read both requests before answering either, then answer in
-		// reverse with payloads echoing the requested keys.
+		// reverse with payloads echoing the requested keys. The first
+		// frame is already the client's first get.
 		type pending struct {
 			seq uint32
 			key []byte
@@ -173,9 +127,6 @@ func TestPipelinedOutOfOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if cl.Proto() != ProtoV2 {
-		t.Fatalf("Proto = %d", cl.Proto())
-	}
 	ctx := context.Background()
 	p := cl.Pipeline()
 	fa := p.Get(ctx, []byte("A"), 1)
@@ -313,17 +264,13 @@ func TestBatcherAutoFlush(t *testing.T) {
 }
 
 // TestStatusErrorIdentity pins the single-request error consolidation:
-// engine sentinels hold across the wire, and the deprecated client
-// sentinels still match.
+// engine sentinels hold across the wire.
 func TestStatusErrorIdentity(t *testing.T) {
 	_, cl := startServer(t)
 	ctx := context.Background()
 	_, err := cl.GetContext(ctx, []byte("absent"), 1)
 	if !errors.Is(err, core.ErrNotFound) {
 		t.Fatalf("err = %v, want core.ErrNotFound", err)
-	}
-	if !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v, want legacy ErrNotFound too", err)
 	}
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != StatusNotFound {
@@ -361,8 +308,8 @@ func TestRangeAppliedLimit(t *testing.T) {
 }
 
 // TestDeadlineExpiryMidFrame verifies a context deadline fires while a
-// response is outstanding (the scripted server goes silent after the
-// handshake), and that the connection heals on the next call.
+// response is outstanding (the scripted server swallows the first
+// request), and that the connection heals on the next call.
 func TestDeadlineExpiryMidFrame(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -377,16 +324,14 @@ func TestDeadlineExpiryMidFrame(t *testing.T) {
 			}
 			go func(conn net.Conn) {
 				defer conn.Close()
-				frame, _ := readFrame(conn)
-				if req, err := decodeRequest(frame); err != nil || req.Op != OpHello {
-					return
-				}
-				writeFrame(conn, encodeResponse(StatusOK, []byte{ProtoV2}))
 				reqs := 0
 				for {
-					seq, _, err := readFrameSeq(conn)
+					seq, body, err := readFrameSeq(conn)
 					if err != nil {
 						return
+					}
+					if req, err := decodeRequest(body); err != nil || req.Op != OpPing {
+						return // the first frame must be the ping itself
 					}
 					reqs++
 					if reqs == 1 {
@@ -413,7 +358,7 @@ func TestDeadlineExpiryMidFrame(t *testing.T) {
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("deadline did not bound the wait")
 	}
-	// The stream stayed synced (v2 discards the late response by seq),
+	// The stream stayed synced (the late response is discarded by seq),
 	// so the same connection keeps working.
 	if err := cl.PingContext(context.Background()); err != nil {
 		t.Fatalf("post-deadline ping: %v", err)
@@ -434,12 +379,7 @@ func TestDialTimeoutOption(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		frame, _ := readFrame(conn)
-		if req, err := decodeRequest(frame); err != nil || req.Op != OpHello {
-			return
-		}
-		writeFrame(conn, encodeResponse(StatusOK, []byte{ProtoV2}))
-		// Then never answer anything again.
+		// Never answer anything.
 		for {
 			if _, _, err := readFrameSeq(conn); err != nil {
 				return
@@ -529,7 +469,7 @@ func TestV2FrameCodec(t *testing.T) {
 	if err != nil || seq != 42 || string(body) != "hello" {
 		t.Fatalf("round trip = %d, %q, %v", seq, body, err)
 	}
-	// A v2 frame shorter than its own seq field is malformed.
+	// A frame shorter than its own seq field is malformed.
 	var runt bytes.Buffer
 	hdr := binary.LittleEndian.AppendUint32(nil, 2)
 	runt.Write(hdr)
@@ -579,28 +519,8 @@ func TestBatchCodec(t *testing.T) {
 	if statuses[1].status != StatusNotFound || string(statuses[1].msg) != "missing" {
 		t.Fatalf("reply[1] = %+v", statuses[1])
 	}
-}
-
-// TestDeprecatedWrappersStillWork exercises the context-free surface
-// end to end (the DialNode facade compatibility contract).
-func TestDeprecatedWrappersStillWork(t *testing.T) {
-	_, cl := startServer(t)
-	if err := cl.Put([]byte("w"), 1, []byte("x"), false); err != nil {
-		t.Fatal(err)
-	}
-	if val, err := cl.Get([]byte("w"), 1); err != nil || string(val) != "x" {
-		t.Fatalf("Get = %q, %v", val, err)
-	}
-	if ok, err := cl.Has([]byte("w"), 1); err != nil || !ok {
-		t.Fatalf("Has = %v, %v", ok, err)
-	}
-	if entries, err := cl.Range(nil, nil, 0); err != nil || len(entries) != 1 {
-		t.Fatalf("Range = %d, %v", len(entries), err)
-	}
-	if err := cl.Del([]byte("w"), 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Ping(); err != nil {
-		t.Fatal(err)
+	// A count the body cannot carry is refused, not allocated for.
+	if _, err := decodeBatchReply([]byte{0xff, 0xff, 0xff, 0xff}); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("huge count err = %v", err)
 	}
 }

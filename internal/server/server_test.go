@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -80,10 +81,10 @@ func TestPingPutGetDel(t *testing.T) {
 	if err := cl.DelContext(ctx, []byte("k"), 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.GetContext(ctx, []byte("k"), 1); !errors.Is(err, ErrDeleted) {
+	if _, err := cl.GetContext(ctx, []byte("k"), 1); !errors.Is(err, core.ErrDeleted) {
 		t.Fatalf("Get after Del err = %v", err)
 	}
-	if _, err := cl.GetContext(ctx, []byte("missing"), 1); !errors.Is(err, ErrNotFound) {
+	if _, err := cl.GetContext(ctx, []byte("missing"), 1); !errors.Is(err, core.ErrNotFound) {
 		t.Fatalf("Get missing err = %v", err)
 	}
 }
@@ -221,12 +222,12 @@ func TestMalformedFrameGetsError(t *testing.T) {
 	}
 	defer conn.Close()
 	// A 2-byte body is too short for any request.
-	if err := writeFrame(conn, []byte{OpGet, 0}); err != nil {
+	if err := writeFrameSeq(conn, 1, []byte{OpGet, 0}); err != nil {
 		t.Fatal(err)
 	}
-	frame, err := readFrame(conn)
-	if err != nil {
-		t.Fatal(err)
+	seq, frame, err := readFrameSeq(conn)
+	if err != nil || seq != 1 {
+		t.Fatalf("reply seq %d, %v", seq, err)
 	}
 	status, payload, err := decodeResponse(frame)
 	if err != nil {
@@ -235,10 +236,22 @@ func TestMalformedFrameGetsError(t *testing.T) {
 	if status != StatusFailed || len(payload) == 0 {
 		t.Fatalf("status = %d, payload = %q", status, payload)
 	}
+	// A flagged frame too short for its trace header fails the same
+	// way, and the seq comes back without the flag.
+	if err := writeFrameSeq(conn, 2|seqTraceFlag, []byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	seq, frame, err = readFrameSeq(conn)
+	if err != nil || seq != 2 {
+		t.Fatalf("reply seq %d, %v", seq, err)
+	}
+	if status, _, _ := decodeResponse(frame); status != StatusFailed {
+		t.Fatalf("short trace header status = %d", status)
+	}
 	// The connection stays usable.
 	body, _ := encodeRequest(request{Op: OpPing})
-	writeFrame(conn, body)
-	frame, err = readFrame(conn)
+	writeFrameSeq(conn, 3, body)
+	_, frame, err = readFrameSeq(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,11 +261,17 @@ func TestMalformedFrameGetsError(t *testing.T) {
 }
 
 func TestOversizeFrameRejected(t *testing.T) {
-	if _, err := encodeRequest(request{Op: OpPut, Key: make([]byte, MaxKeyLen+1)}); !errors.Is(err, ErrFrameTooBig) {
+	if _, err := encodeRequest(request{Op: OpPut, Key: make([]byte, aof.MaxKeyLen+1)}); !errors.Is(err, ErrFrameTooBig) {
 		t.Fatalf("oversize key err = %v", err)
 	}
 	if _, err := encodeRequest(request{Op: OpPut, Key: []byte("k"), Value: make([]byte, MaxValueLen+1)}); !errors.Is(err, ErrFrameTooBig) {
 		t.Fatalf("oversize value err = %v", err)
+	}
+	// A frame header declaring more than the cap is refused before its
+	// body is read.
+	hdr := binary.LittleEndian.AppendUint32(nil, maxFrame+1)
+	if _, _, err := readFrameSeq(bytes.NewReader(append(hdr, 0, 0, 0, 0))); !errors.Is(err, ErrFrameTooBig) {
+		t.Fatalf("oversize frame err = %v", err)
 	}
 }
 
@@ -267,10 +286,11 @@ func TestCloseUnblocksServe(t *testing.T) {
 	}
 }
 
-// Property: request encode/decode round-trips arbitrary payloads.
+// Property: a request round-trips through encoding and framing with
+// arbitrary payloads and sequence numbers.
 func TestQuickProtocolRoundTrip(t *testing.T) {
-	f := func(op uint8, version uint64, key, value []byte) bool {
-		if len(key) > MaxKeyLen || len(value) > 1<<16 {
+	f := func(seq uint32, op uint8, version uint64, key, value []byte) bool {
+		if len(key) > aof.MaxKeyLen || len(value) > 1<<16 {
 			return true
 		}
 		req := request{Op: op, Version: version, Key: key, Value: value}
@@ -278,7 +298,11 @@ func TestQuickProtocolRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := decodeRequest(body)
+		gotSeq, frame, err := readFrameSeq(bytes.NewReader(appendFrameSeq(nil, seq, body)))
+		if err != nil || gotSeq != seq {
+			return false
+		}
+		got, err := decodeRequest(frame)
 		if err != nil {
 			return false
 		}

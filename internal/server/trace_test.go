@@ -29,9 +29,6 @@ func TestTracePropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if !cl.TraceEnabled() {
-		t.Fatal("TraceEnabled = false on a v2 connection with default options")
-	}
 
 	ctx, end := reg.StartSpan(context.Background(), "test.root")
 	sc, ok := metrics.SpanFromContext(ctx)
@@ -59,9 +56,8 @@ func TestTracePropagation(t *testing.T) {
 	}
 }
 
-// TestTraceUntracedRequestsMintNothing checks that plain requests on a
-// trace-capable connection — no span in the context — leave no trace
-// on the server.
+// TestTraceUntracedRequestsMintNothing checks that plain requests — no
+// span in the context — leave no trace on the server.
 func TestTraceUntracedRequestsMintNothing(t *testing.T) {
 	reg := metrics.NewRegistry()
 	s, _ := startServerReg(t, reg)
@@ -82,98 +78,6 @@ func TestTraceUntracedRequestsMintNothing(t *testing.T) {
 		if len(rec.Name) >= 7 && rec.Name[:7] == "server." {
 			t.Fatalf("untraced request minted a %q span", rec.Name)
 		}
-	}
-}
-
-// TestTraceFallbackClientDisabled checks the negotiation fallback: a v2
-// client that declines trace propagation interoperates and the server
-// records no spans for its requests even when the context carries one.
-func TestTraceFallbackClientDisabled(t *testing.T) {
-	reg := metrics.NewRegistry()
-	s, _ := startServerReg(t, reg)
-	cl, err := Dial(s.Addr().String(), WithMetrics(reg), WithTracePropagation(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if cl.Proto() != ProtoV2 {
-		t.Fatalf("Proto = %d, want v2", cl.Proto())
-	}
-	if cl.TraceEnabled() {
-		t.Fatal("TraceEnabled = true after WithTracePropagation(false)")
-	}
-
-	ctx, end := reg.StartSpan(context.Background(), "declined.root")
-	sc, _ := metrics.SpanFromContext(ctx)
-	if err := cl.PutContext(ctx, []byte("dk"), 1, []byte("dv"), false); err != nil {
-		t.Fatal(err)
-	}
-	end(nil)
-	for _, rec := range reg.Tracer().Trace(sc.TraceID) {
-		if rec.Name != "declined.root" {
-			t.Fatalf("trace leaked a %q span despite disabled propagation", rec.Name)
-		}
-	}
-}
-
-// TestTraceFallbackServerDisabled checks the other direction: a server
-// with trace propagation off rejects the feature during hello and the
-// client downgrades cleanly.
-func TestTraceFallbackServerDisabled(t *testing.T) {
-	reg := metrics.NewRegistry()
-	s, _ := startServerReg(t, reg)
-	s.SetTracePropagation(false)
-	cl, err := Dial(s.Addr().String(), WithMetrics(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if cl.Proto() != ProtoV2 {
-		t.Fatalf("Proto = %d, want v2", cl.Proto())
-	}
-	if cl.TraceEnabled() {
-		t.Fatal("TraceEnabled = true though the server declined the feature")
-	}
-	ctx, end := reg.StartSpan(context.Background(), "srv.declined.root")
-	sc, _ := metrics.SpanFromContext(ctx)
-	if err := cl.PutContext(ctx, []byte("sk"), 1, []byte("sv"), false); err != nil {
-		t.Fatal(err)
-	}
-	end(nil)
-	if got := len(reg.Tracer().Trace(sc.TraceID)); got != 1 {
-		t.Fatalf("trace has %d spans, want only the client root", got)
-	}
-}
-
-// TestTraceV1Interop checks that a v1 client is untouched by the trace
-// feature: the hello is skipped entirely, requests work, and a span in
-// the context goes nowhere.
-func TestTraceV1Interop(t *testing.T) {
-	reg := metrics.NewRegistry()
-	s, _ := startServerReg(t, reg)
-	cl, err := Dial(s.Addr().String(), WithMetrics(reg), WithMaxProtocol(ProtoV1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if cl.Proto() != ProtoV1 {
-		t.Fatalf("Proto = %d, want v1", cl.Proto())
-	}
-	if cl.TraceEnabled() {
-		t.Fatal("TraceEnabled = true on a v1 connection")
-	}
-	ctx, end := reg.StartSpan(context.Background(), "v1.root")
-	sc, _ := metrics.SpanFromContext(ctx)
-	if err := cl.PutContext(ctx, []byte("v1k"), 1, []byte("v1v"), false); err != nil {
-		t.Fatal(err)
-	}
-	got, err := cl.GetContext(ctx, []byte("v1k"), 1)
-	if err != nil || string(got) != "v1v" {
-		t.Fatalf("v1 Get = %q, %v", got, err)
-	}
-	end(nil)
-	if got := len(reg.Tracer().Trace(sc.TraceID)); got != 1 {
-		t.Fatalf("v1 trace has %d spans, want only the client root", got)
 	}
 }
 
